@@ -45,6 +45,11 @@ pub(crate) enum StagedOp {
     Committing(ActionId),
     /// A staged done record; on force, the coordinator finishes.
     Done(ActionId),
+    /// A single-guardian action's whole commit — its data entries and its
+    /// prepared, committing, committed and done records, staged together
+    /// with no two-phase-commit messages; on force, install versions and
+    /// finish the action.
+    LocalCommit(ActionId),
 }
 
 impl StagedOp {
@@ -55,7 +60,8 @@ impl StagedOp {
             | Self::Commit(aid)
             | Self::Abort(aid)
             | Self::Committing(aid)
-            | Self::Done(aid) => *aid,
+            | Self::Done(aid)
+            | Self::LocalCommit(aid) => *aid,
         }
     }
 }

@@ -859,6 +859,14 @@ impl World {
                 );
             }
         }
+        self.finish_action(aid, false);
+        self.cc_pump();
+    }
+
+    /// Records `aid`'s final verdict: its end-to-end `action` trace span,
+    /// the outcome [`World::commit_settle`] reports, and the end of its
+    /// participant bookkeeping.
+    fn finish_action(&mut self, aid: ActionId, committed: bool) {
         if let Some(start) = self.begin_ts.remove(&aid) {
             self.tracer.complete(
                 "action",
@@ -866,11 +874,12 @@ impl World {
                 aid.coordinator.0,
                 Some(tkey(aid)),
                 start,
-                &[("committed", 0)],
+                &[("committed", u64::from(committed))],
             );
         }
-        self.outcomes.insert(aid, false);
-        self.cc_pump();
+        self.outcomes.insert(aid, committed);
+        self.touched.remove(&aid);
+        self.touched_read.remove(&aid);
     }
 
     /// Runs housekeeping at `g`.
@@ -932,6 +941,9 @@ impl World {
     /// quiescence. Several actions started this way proceed concurrently:
     /// their prepare/commit records share group-commit forces. Settle each
     /// with [`World::commit_settle`].
+    ///
+    /// An action whose only participant is its home guardian skips the
+    /// protocol and commits in one log force (DESIGN.md deviation 10).
     pub fn commit_start(&mut self, aid: ActionId) -> WorldResult<()> {
         let origin = aid.coordinator;
         let mut gids: BTreeSet<GuardianId> = self.touched.get(&aid).cloned().unwrap_or_default();
@@ -939,11 +951,71 @@ impl World {
             gids.extend(readers.iter().copied());
         }
         gids.insert(origin);
+        if gids.len() == 1 {
+            return self.commit_local(aid);
+        }
         let guardian = self.live(origin)?;
         let coordinator = Coordinator::new(aid, gids.into_iter().collect());
         let effects = coordinator.start();
         guardian.coordinators.insert(aid, coordinator);
         self.exec_coord(origin, aid, effects)
+    }
+
+    /// Commits an action whose participant set is just its home guardian
+    /// in one log force (DESIGN.md deviation 10). The records are the ones
+    /// two-phase commit with itself would write — the MOS's data entries,
+    /// then `prepared`, `committing([home])`, `committed` and `done`, in
+    /// that order — but they are staged into the guardian's group-commit
+    /// batch together, with no self-addressed messages. The batch's one
+    /// force publishes all of them or none, so recovery finds either a
+    /// finished commit or an unknown (hence aborted) action; the
+    /// continuation runs from [`World::flush_staged`].
+    fn commit_local(&mut self, aid: ActionId) -> WorldResult<()> {
+        let g = aid.coordinator;
+        let now = self.clock.now();
+        let guardian = self.live(g)?;
+        if !guardian.known.contains(&aid) {
+            // Unknown at its only participant (the guardian restarted after
+            // `begin`): aborted, as a refused prepare would be (§2.2.2).
+            self.abort_local(aid);
+            return Ok(());
+        }
+        let mos = guardian.mos.remove(&aid).unwrap_or_default();
+        // Split borrow: the recovery system reads the heap. The `Ok(bool)`
+        // of each stage call is irrelevant here: an organization that
+        // forces eagerly leaves `force_staged` nothing to do.
+        let Guardian { rs, heap, .. } = guardian;
+        match rs.stage_prepare(aid, &mos, heap) {
+            Ok(_) => {}
+            Err(e) if e.is_crash() => {
+                self.mark_crashed(g);
+                return Ok(());
+            }
+            Err(_) => {
+                self.abort_local(aid);
+                return Ok(());
+            }
+        }
+        let rest = rs
+            .stage_committing(aid, &[g])
+            .and_then(|_| rs.stage_commit(aid))
+            .and_then(|_| rs.stage_done(aid));
+        match rest {
+            Ok(_) => {}
+            Err(e) if e.is_crash() => {
+                self.mark_crashed(g);
+                return Ok(());
+            }
+            Err(e) => return Err(e.into()),
+        }
+        guardian.staged.push((StagedOp::LocalCommit(aid), now));
+        guardian.force_sched.note_staged(now);
+        self.note_staged_batch(g);
+        self.tracer
+            .complete("twopc", "local_commit", g.0, Some(tkey(aid)), now, &[]);
+        // Poll the scheduler as a message delivery would, so an immediate
+        // force schedule forces right here.
+        self.flush_due_forces()
     }
 
     /// Drives the network to quiescence and reports the fate of a commit
@@ -1460,6 +1532,15 @@ impl World {
                         .unwrap_or_default();
                     self.exec_coord(g, aid, more)?;
                 }
+                StagedOp::LocalCommit(aid) => {
+                    // Everything the participant's commit continuation and
+                    // the coordinator's `Finished` would have done.
+                    let guardian = self.guardian_mut(g)?;
+                    guardian.heap.commit_action(aid);
+                    guardian.resolved.insert(aid, true);
+                    guardian.coord_done.insert(aid);
+                    self.finish_action(aid, true);
+                }
             }
         }
         Ok(())
@@ -1644,24 +1725,12 @@ impl World {
                         .complete("twopc", "done", g.0, Some(tkey(aid)), now, &[]);
                 }
                 CoordEffect::Finished { committed } => {
-                    if let Some(start) = self.begin_ts.remove(&aid) {
-                        self.tracer.complete(
-                            "action",
-                            "action",
-                            aid.coordinator.0,
-                            Some(tkey(aid)),
-                            start,
-                            &[("committed", u64::from(committed))],
-                        );
-                    }
-                    self.outcomes.insert(aid, committed);
                     let guardian = self.guardian_mut(g)?;
                     guardian.coordinators.remove(&aid);
                     if committed {
                         guardian.coord_done.insert(aid);
                     }
-                    self.touched.remove(&aid);
-                    self.touched_read.remove(&aid);
+                    self.finish_action(aid, committed);
                 }
             }
         }

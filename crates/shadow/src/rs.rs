@@ -63,6 +63,8 @@ pub struct ShadowRs<P: StoreProvider> {
     pat: HashSet<ActionId>,
     /// Whether a housekeeping pass is open.
     hk_open: bool,
+    /// `core.hk.passes`, shared with the log organizations' counter.
+    hk_passes: argus_obs::Counter,
 }
 
 impl<P: StoreProvider> ShadowRs<P> {
@@ -79,6 +81,7 @@ impl<P: StoreProvider> ShadowRs<P> {
             access: [Uid::STABLE_ROOT].into_iter().collect(),
             pat: HashSet::new(),
             hk_open: false,
+            hk_passes: argus_obs::current().counter("core.hk.passes"),
         })
     }
 
@@ -95,6 +98,7 @@ impl<P: StoreProvider> ShadowRs<P> {
             access: HashSet::new(),
             pat: HashSet::new(),
             hk_open: false,
+            hk_passes: argus_obs::current().counter("core.hk.passes"),
         })
     }
 
@@ -206,7 +210,47 @@ impl<S: PageStore> argus_core::writer_sink::Sink for ShadowSink<'_, S> {
 }
 
 impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
+    // Each eager operation is its staged twin plus the force: one shared
+    // log holds versions, intents, maps and coordinator records, so a force
+    // publishes every staged record at once and group commit batches them
+    // like the log organizations' records.
+
     fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
+        self.stage_prepare(aid, mos, heap)?;
+        self.force_staged()
+    }
+
+    fn write_entry(
+        &mut self,
+        _aid: ActionId,
+        mos: &[HeapId],
+        _heap: &Heap,
+    ) -> RsResult<Vec<HeapId>> {
+        // Early prepare is not part of the shadowing organization.
+        Ok(mos.to_vec())
+    }
+
+    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
+        self.stage_commit(aid)?;
+        self.force_staged()
+    }
+
+    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
+        self.stage_abort(aid)?;
+        self.force_staged()
+    }
+
+    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
+        self.stage_committing(aid, gids)?;
+        self.force_staged()
+    }
+
+    fn done(&mut self, aid: ActionId) -> RsResult<()> {
+        self.stage_done(aid)?;
+        self.force_staged()
+    }
+
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
         let mut intent = IntentBody::new(aid);
         {
             let mut sink = ShadowSink {
@@ -223,26 +267,15 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             )?;
         }
         self.append(&ShadowRecord::Intent(intent.clone()))?;
-        self.log.force()?;
         for (uid, addr, other) in &intent.pd {
             self.pd_index.entry(*other).or_default().push((*uid, *addr));
         }
         self.intents.insert(aid, intent);
         self.pat.insert(aid);
-        Ok(())
+        Ok(true)
     }
 
-    fn write_entry(
-        &mut self,
-        _aid: ActionId,
-        mos: &[HeapId],
-        _heap: &Heap,
-    ) -> RsResult<Vec<HeapId>> {
-        // Early prepare is not part of the shadowing organization.
-        Ok(mos.to_vec())
-    }
-
-    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
         let intent = self
             .intents
             .remove(&aid)
@@ -256,12 +289,11 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             aid,
             committed: true,
         })?;
-        self.log.force()?;
         self.pat.remove(&aid);
-        Ok(())
+        Ok(true)
     }
 
-    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
         let intent = self.intents.remove(&aid);
         self.pd_index.remove(&aid);
         let changed = match &intent {
@@ -275,25 +307,27 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             aid,
             committed: false,
         })?;
-        self.log.force()?;
         self.pat.remove(&aid);
-        Ok(())
+        Ok(true)
     }
 
-    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
         self.append(&ShadowRecord::Committing {
             aid,
             gids: gids.to_vec(),
         })?;
-        self.log.force()?;
         self.coords.insert(aid, gids.to_vec());
-        Ok(())
+        Ok(true)
     }
 
-    fn done(&mut self, aid: ActionId) -> RsResult<()> {
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
         self.append(&ShadowRecord::Done { aid })?;
-        self.log.force()?;
         self.coords.remove(&aid);
+        Ok(true)
+    }
+
+    fn force_staged(&mut self) -> RsResult<()> {
+        self.log.force()?;
         Ok(())
     }
 
@@ -597,6 +631,7 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             return Err(RsError::BadState("no housekeeping in progress".into()));
         }
         self.hk_open = false;
+        self.hk_passes.inc();
         Ok(())
     }
 

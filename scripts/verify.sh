@@ -22,12 +22,16 @@ run() {
 
 run scripts/lint.sh
 run cargo build --release --offline
-run cargo test -q --offline
+# The whole workspace: every crate's unit and integration tests (the
+# allocs/commit pin among them), not just the root package's.
+run cargo test -q --offline --workspace
 run cargo test -q --offline --features proptest
-# Bench smoke: tiny E12/E13/E14 asserting group-commit batching never
-# increases forces per commit, the page cache hits during recovery, and the
-# contended lock mix completes without a hang under every concurrency-control
-# policy with blocking mode breaking at least one deadlock (cc.deadlocks > 0).
+# Bench smoke: tiny E12/E13/E14 asserting, on every organization, that a
+# single-guardian commit costs at most 2 device syncs and group-commit
+# batching never increases forces per commit; that the page cache hits
+# during recovery on the logs; and that the contended lock mix completes
+# without a hang under every concurrency-control policy with blocking mode
+# breaking at least one deadlock (cc.deadlocks > 0).
 run cargo run -q --release --offline -p argus-bench --bin experiments -- --smoke
 
 if [[ "${1:-}" == "--full" ]]; then

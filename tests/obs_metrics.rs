@@ -244,3 +244,38 @@ fn world_recovery_metrics_agree_with_device_stats() {
     assert_eq!(reg.counter("world.crashes").get(), 1);
     assert_eq!(reg.counter("world.restarts").get(), 1);
 }
+
+/// `core.hk.passes` counts every finished housekeeping pass, whatever the
+/// organization or mode — shadowing's version-storage collection included.
+#[test]
+fn every_organization_counts_one_housekeeping_pass() {
+    use argus::core::HousekeepingMode;
+    use HousekeepingMode::{Compaction, Snapshot};
+    // Snapshot housekeeping needs the hybrid log's mutex table; shadowing
+    // ignores the mode.
+    for (kind, modes) in [
+        (RsKind::Simple, &[Compaction][..]),
+        (RsKind::Hybrid, &[Compaction, Snapshot][..]),
+        (RsKind::Shadow, &[Compaction][..]),
+        (RsKind::Redo, &[Compaction][..]),
+    ] {
+        for &mode in modes {
+            let reg = Registry::new();
+            let _scope = reg.enter();
+            let mut world = World::fast();
+            let g = world.add_guardian(kind).unwrap();
+            for i in 0..4i64 {
+                let a = world.begin(g).unwrap();
+                world.set_stable(g, a, "k", Value::Int(i)).unwrap();
+                assert_eq!(world.commit(a).unwrap(), Outcome::Committed);
+            }
+            let passes = reg.counter("core.hk.passes").get();
+            world.housekeep(g, mode).unwrap();
+            assert_eq!(
+                reg.counter("core.hk.passes").get() - passes,
+                1,
+                "{kind:?} {mode:?}"
+            );
+        }
+    }
+}

@@ -26,6 +26,12 @@ fn obj_name(i: usize) -> String {
 fn setup(kind: RsKind, cfg: WorldConfig) -> (World, GuardianId, Vec<HeapId>) {
     let mut world = World::with_config(CostModel::fast(), cfg);
     let g = world.add_guardian(kind).expect("guardian");
+    let objs = setup_objects(&mut world, g);
+    (world, g, objs)
+}
+
+/// Creates `OBJECTS` committed atomic objects at `g`, bound to stable names.
+fn setup_objects(world: &mut World, g: GuardianId) -> Vec<HeapId> {
     let aid = world.begin(g).expect("begin");
     let mut objs = Vec::new();
     for i in 0..OBJECTS {
@@ -36,7 +42,7 @@ fn setup(kind: RsKind, cfg: WorldConfig) -> (World, GuardianId, Vec<HeapId>) {
         objs.push(h);
     }
     assert_eq!(world.commit(aid).expect("setup"), Outcome::Committed);
-    (world, g, objs)
+    objs
 }
 
 /// Replays a deterministic workload of rounds of concurrent actions
@@ -151,6 +157,96 @@ fn batched_world_recovers_identically_to_unbatched() {
                 unbatched.3, batched.3,
                 "{kind:?} seed {seed}: stable values differ"
             );
+        }
+    }
+}
+
+/// Single-guardian actions commit in one force (DESIGN.md deviation 10),
+/// so under batching an action's `prepared` and `committed` records share a
+/// batch with each other and with other actions' two-phase-commit records.
+/// Rounds launch local actions at `home` next to actions that also write
+/// at `remote`; batched and unbatched worlds must commit the same actions
+/// and, after both guardians crash and recover, agree on PT, CT and stable
+/// values at each guardian.
+#[test]
+fn local_commits_batch_with_two_phase_commits_identically() {
+    type Image = (
+        BTreeMap<ActionId, PState>,
+        BTreeMap<ActionId, CState>,
+        BTreeMap<String, i64>,
+    );
+    for kind in [RsKind::Simple, RsKind::Hybrid, RsKind::Redo] {
+        for seed in 0..8u64 {
+            let mut runs: Vec<(Vec<ActionId>, Vec<Image>)> = Vec::new();
+            for cfg in [WorldConfig::unbatched(), WorldConfig::default()] {
+                let mut world = World::with_config(CostModel::fast(), cfg);
+                let home = world.add_guardian(kind).expect("home");
+                let remote = world.add_guardian(kind).expect("remote");
+                let here = setup_objects(&mut world, home);
+                let there = setup_objects(&mut world, remote);
+                let mut rng = DetRng::new(seed);
+                let mut committed = Vec::new();
+                for _ in 0..12 {
+                    let group = rng.gen_between(1, 4) as usize;
+                    let per = OBJECTS / 4;
+                    let aids: Vec<ActionId> = (0..group)
+                        .map(|_| world.begin(home).expect("begin"))
+                        .collect();
+                    for (i, &aid) in aids.iter().enumerate() {
+                        let v = rng.next_u64() as i64;
+                        let h = here[i * per];
+                        world
+                            .write_atomic(home, aid, h, move |slot| *slot = Value::Int(v))
+                            .expect("local write");
+                        if rng.gen_bool(0.4) {
+                            let h = there[i * per];
+                            world
+                                .write_atomic(remote, aid, h, move |slot| *slot = Value::Int(-v))
+                                .expect("remote write");
+                        }
+                    }
+                    for &aid in &aids {
+                        world.commit_start(aid).expect("start");
+                    }
+                    for &aid in &aids {
+                        assert_eq!(
+                            world.commit_settle(aid).expect("settle"),
+                            Outcome::Committed
+                        );
+                        committed.push(aid);
+                    }
+                }
+                common::lint_world(&mut world);
+
+                let mut images = Vec::new();
+                for g in [home, remote] {
+                    world.crash(g);
+                }
+                for g in [home, remote] {
+                    let outcome = world.restart(g).expect("recover");
+                    let entries = world.dump_log(g).expect("dump").expect("log organization");
+                    common::lint_entries_against(entries, &outcome);
+                    images.push((
+                        outcome.pt.iter().map(|(a, s)| (*a, *s)).collect(),
+                        outcome.ct.iter().map(|(a, s)| (*a, s.clone())).collect(),
+                        stable_image(&world, g),
+                    ));
+                }
+                runs.push((committed, images));
+            }
+            let (unbatched, batched) = (&runs[0], &runs[1]);
+            assert_eq!(
+                unbatched.0, batched.0,
+                "{kind:?} seed {seed}: commit sets differ"
+            );
+            for (g, (u, b)) in unbatched.1.iter().zip(&batched.1).enumerate() {
+                assert_eq!(u.0, b.0, "{kind:?} seed {seed}: PT differs at g{g}");
+                assert_eq!(u.1, b.1, "{kind:?} seed {seed}: CT differs at g{g}");
+                assert_eq!(
+                    u.2, b.2,
+                    "{kind:?} seed {seed}: stable values differ at g{g}"
+                );
+            }
         }
     }
 }
