@@ -240,11 +240,7 @@ impl<P: StoreProvider> HybridLogRs<P> {
     }
 
     /// Appends a chained outcome entry, updating the chain head and the OEL.
-    pub(crate) fn append_outcome(
-        &mut self,
-        mut entry: EntryRef<'_>,
-        force: bool,
-    ) -> RsResult<LogAddress> {
+    pub(crate) fn append_outcome(&mut self, mut entry: EntryRef<'_>) -> RsResult<LogAddress> {
         let prev = self.last_outcome.map(|a| a.0);
         entry.set_prev(self.last_outcome);
         let addr = self.log.write_with(|enc| encode_entry_into(enc, &entry))?;
@@ -256,9 +252,6 @@ impl<P: StoreProvider> HybridLogRs<P> {
             addr.0
         );
         self.obs.outcome(entry.name(), prev);
-        if force {
-            self.log.force()?;
-        }
         self.last_outcome = Some(addr);
         if let Some(oel) = &mut self.oel {
             oel.push(addr);
@@ -422,11 +415,6 @@ impl<P: StoreProvider> HybridLogRs<P> {
 }
 
 impl<P: StoreProvider> RecoverySystem for HybridLogRs<P> {
-    fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
-        self.stage_prepare(aid, mos, heap)?;
-        self.force_staged()
-    }
-
     fn write_entry(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<Vec<HeapId>> {
         let mut fresh = Vec::new();
         let leftover = {
@@ -448,34 +436,12 @@ impl<P: StoreProvider> RecoverySystem for HybridLogRs<P> {
         Ok(leftover)
     }
 
-    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_commit(aid)?;
-        self.force_staged()
-    }
+    // The outcome entry is chained and buffered (its address is final) and
+    // all volatile bookkeeping happens now, but the device force waits for
+    // `force_staged`. One force then publishes every staged entry
+    // atomically, so the chain can never be durable with a hole in it.
 
-    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_abort(aid)?;
-        self.force_staged()
-    }
-
-    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
-        self.stage_committing(aid, gids)?;
-        self.force_staged()
-    }
-
-    fn done(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_done(aid)?;
-        self.force_staged()
-    }
-
-    // Staged variants for group commit: the outcome entry is chained and
-    // buffered (its address is final) and all volatile bookkeeping happens
-    // now, but the device force waits for `force_staged`. One force then
-    // publishes every staged entry atomically, so the chain can never be
-    // durable with a hole in it.
-
-    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        let _timer = self.obs.reg.phase("core.prepare_us");
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
         let mut fresh = Vec::new();
         {
             let mut sink = HybridSink {
@@ -490,14 +456,11 @@ impl<P: StoreProvider> RecoverySystem for HybridLogRs<P> {
         let mut all = self.pending.remove(&aid).unwrap_or_default();
         Self::merge_pairs(&mut all, fresh);
         let pairs: Vec<(Uid, LogAddress)> = all.iter().map(|p| (p.uid, p.addr)).collect();
-        self.append_outcome(
-            EntryRef::Prepared {
-                aid,
-                pairs: &pairs,
-                prev: None,
-            },
-            false,
-        )?;
+        self.append_outcome(EntryRef::Prepared {
+            aid,
+            pairs: &pairs,
+            prev: None,
+        })?;
         // The action is prepared: record the latest prepared mutex versions
         // in the MT (§5.2).
         for pair in &all {
@@ -507,44 +470,41 @@ impl<P: StoreProvider> RecoverySystem for HybridLogRs<P> {
         }
         self.pat.insert(aid);
         self.obs.prepares.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
-        self.append_outcome(EntryRef::Committed { aid, prev: None }, false)?;
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<()> {
+        self.append_outcome(EntryRef::Committed { aid, prev: None })?;
         self.pat.remove(&aid);
         self.pending.remove(&aid);
         self.obs.commits.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
-        self.append_outcome(EntryRef::Aborted { aid, prev: None }, false)?;
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<()> {
+        self.append_outcome(EntryRef::Aborted { aid, prev: None })?;
         self.pat.remove(&aid);
         self.pending.remove(&aid);
         self.obs.aborts.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
-        self.append_outcome(
-            EntryRef::Committing {
-                aid,
-                gids,
-                prev: None,
-            },
-            false,
-        )?;
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
+        self.append_outcome(EntryRef::Committing {
+            aid,
+            gids,
+            prev: None,
+        })?;
         self.cat.insert(aid, gids.to_vec());
         self.obs.committings.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
-        self.append_outcome(EntryRef::Done { aid, prev: None }, false)?;
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<()> {
+        self.append_outcome(EntryRef::Done { aid, prev: None })?;
         self.cat.remove(&aid);
         self.obs.dones.inc();
-        Ok(true)
+        Ok(())
     }
 
     fn force_staged(&mut self) -> RsResult<()> {

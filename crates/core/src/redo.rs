@@ -664,42 +664,6 @@ impl<P: StoreProvider> RedoRs<P> {
 }
 
 impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
-    fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
-        self.stage_prepare(aid, mos, heap)?;
-        self.force_staged()
-    }
-
-    fn write_entry(
-        &mut self,
-        _aid: ActionId,
-        mos: &[HeapId],
-        _heap: &Heap,
-    ) -> RsResult<Vec<HeapId>> {
-        // Early prepare is a hybrid-log refinement (§4.4); the redo log
-        // writes the whole MOS at prepare time like the simple log.
-        Ok(mos.to_vec())
-    }
-
-    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_commit(aid)?;
-        self.force_staged()
-    }
-
-    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_abort(aid)?;
-        self.force_staged()
-    }
-
-    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
-        self.stage_committing(aid, gids)?;
-        self.force_staged()
-    }
-
-    fn done(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_done(aid)?;
-        self.force_staged()
-    }
-
     fn set_recovery_mode(&mut self, mode: RecoveryMode) -> bool {
         self.mode = mode;
         true
@@ -748,8 +712,7 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
         self.profile.as_ref().map(|p| p.parallel_makespan_us())
     }
 
-    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        let _timer = self.obs.reg.phase("core.prepare_us");
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
         {
             let mut sink = RedoSink {
                 log: &mut self.log,
@@ -777,10 +740,10 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
         self.obs.outcome("prepared", None);
         self.pat.insert(aid);
         self.obs.prepares.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<()> {
         self.log
             .write_with(|enc| encode_entry_into(enc, &EntryRef::Committed { aid, prev: None }))?;
         self.obs.outcome("committed", None);
@@ -801,10 +764,10 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
             self.write_checkpoint()?;
             self.commits_since_ckpt = 0;
         }
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<()> {
         self.log
             .write_with(|enc| encode_entry_into(enc, &EntryRef::Aborted { aid, prev: None }))?;
         self.obs.outcome("aborted", None);
@@ -812,10 +775,10 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
         self.pending.remove(&aid);
         self.active_floor.remove(&aid);
         self.obs.aborts.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
         let addr = self.log.write_with(|enc| {
             encode_entry_into(
                 enc,
@@ -829,16 +792,16 @@ impl<P: StoreProvider> RecoverySystem for RedoRs<P> {
         self.committing_at.insert(aid, addr);
         self.obs.outcome("committing", None);
         self.obs.committings.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<()> {
         self.log
             .write_with(|enc| encode_entry_into(enc, &EntryRef::Done { aid, prev: None }))?;
         self.committing_at.remove(&aid);
         self.obs.outcome("done", None);
         self.obs.dones.inc();
-        Ok(true)
+        Ok(())
     }
 
     fn force_staged(&mut self) -> RsResult<()> {

@@ -250,50 +250,11 @@ impl<P: StoreProvider> SimpleLogRs<P> {
 }
 
 impl<P: StoreProvider> RecoverySystem for SimpleLogRs<P> {
-    fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
-        self.stage_prepare(aid, mos, heap)?;
-        self.force_staged()
-    }
+    // Volatile tables are updated at stage time — operations arrive
+    // sequentially (§2.3), so a later `process_mos` in the same batch must
+    // already see this prepare's PAT entry.
 
-    fn write_entry(
-        &mut self,
-        _aid: ActionId,
-        mos: &[HeapId],
-        _heap: &Heap,
-    ) -> RsResult<Vec<HeapId>> {
-        // Early prepare is a hybrid-log refinement (§4.4); under the simple
-        // log the whole MOS simply waits for the prepare message.
-        Ok(mos.to_vec())
-    }
-
-    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_commit(aid)?;
-        self.force_staged()
-    }
-
-    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_abort(aid)?;
-        self.force_staged()
-    }
-
-    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
-        self.stage_committing(aid, gids)?;
-        self.force_staged()
-    }
-
-    fn done(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_done(aid)?;
-        self.force_staged()
-    }
-
-    // Staged variants: identical bookkeeping, but the force is deferred to
-    // `force_staged` so a group-commit scheduler can share it. Volatile
-    // tables are updated at stage time — operations arrive sequentially
-    // (§2.3), so a later `process_mos` in the same batch must already see
-    // this prepare's PAT entry.
-
-    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
-        let _timer = self.obs.reg.phase("core.prepare_us");
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
         {
             let mut sink = SimpleSink {
                 log: &mut self.log,
@@ -314,28 +275,28 @@ impl<P: StoreProvider> RecoverySystem for SimpleLogRs<P> {
         self.obs.outcome("prepared", None);
         self.pat.insert(aid);
         self.obs.prepares.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<()> {
         self.log
             .write_with(|enc| encode_entry_into(enc, &EntryRef::Committed { aid, prev: None }))?;
         self.obs.outcome("committed", None);
         self.pat.remove(&aid);
         self.obs.commits.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<()> {
         self.log
             .write_with(|enc| encode_entry_into(enc, &EntryRef::Aborted { aid, prev: None }))?;
         self.obs.outcome("aborted", None);
         self.pat.remove(&aid);
         self.obs.aborts.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
         self.log.write_with(|enc| {
             encode_entry_into(
                 enc,
@@ -348,15 +309,15 @@ impl<P: StoreProvider> RecoverySystem for SimpleLogRs<P> {
         })?;
         self.obs.outcome("committing", None);
         self.obs.committings.inc();
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<()> {
         self.log
             .write_with(|enc| encode_entry_into(enc, &EntryRef::Done { aid, prev: None }))?;
         self.obs.outcome("done", None);
         self.obs.dones.inc();
-        Ok(true)
+        Ok(())
     }
 
     fn force_staged(&mut self) -> RsResult<()> {

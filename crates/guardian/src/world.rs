@@ -7,7 +7,7 @@ use argus_cc::{
     CcConfig, CcFate, CcOutcome, CcPolicy, DeadlockReport, LockHolders, LockManager, LockMode,
     ObjKey, Waiter,
 };
-use argus_core::{HousekeepingMode, RecoveryOutcome};
+use argus_core::{HousekeepingMode, RecoveryOutcome, RsResult};
 use argus_objects::{ActionId, GuardianId, HeapError, HeapId, ObjKind, Uid, Value};
 use argus_sim::{CostModel, SimClock};
 use argus_slog::ForceConfig;
@@ -915,7 +915,8 @@ impl World {
             hk_gids.extend(readers.iter().copied());
         }
         hk_gids.insert(aid.coordinator);
-        let outcome = self.commit_inner(aid)?;
+        self.commit_start(aid)?;
+        let outcome = self.commit_settle(aid)?;
         timer.stop();
         self.obs.inc(match outcome {
             Outcome::Committed => "world.commits",
@@ -930,11 +931,6 @@ impl World {
             self.maybe_housekeep(g)?;
         }
         Ok(outcome)
-    }
-
-    fn commit_inner(&mut self, aid: ActionId) -> WorldResult<Outcome> {
-        self.commit_start(aid)?;
-        self.commit_settle(aid)
     }
 
     /// Launches two-phase commit for `aid` without driving it to
@@ -981,36 +977,22 @@ impl World {
             return Ok(());
         }
         let mos = guardian.mos.remove(&aid).unwrap_or_default();
-        // Split borrow: the recovery system reads the heap. The `Ok(bool)`
-        // of each stage call is irrelevant here: an organization that
-        // forces eagerly leaves `force_staged` nothing to do.
+        // Split borrow: the recovery system reads the heap.
         let Guardian { rs, heap, .. } = guardian;
-        match rs.stage_prepare(aid, &mos, heap) {
-            Ok(_) => {}
-            Err(e) if e.is_crash() => {
-                self.mark_crashed(g);
-                return Ok(());
-            }
-            Err(_) => {
+        let staged = match rs.stage_prepare(aid, &mos, heap) {
+            Ok(()) => rs
+                .stage_committing(aid, &[g])
+                .and_then(|_| rs.stage_commit(aid))
+                .and_then(|_| rs.stage_done(aid)),
+            Err(e) if !e.is_crash() => {
                 self.abort_local(aid);
                 return Ok(());
             }
+            crashed => crashed,
+        };
+        if !self.enqueue_staged(g, staged, StagedOp::LocalCommit(aid), now)? {
+            return Ok(());
         }
-        let rest = rs
-            .stage_committing(aid, &[g])
-            .and_then(|_| rs.stage_commit(aid))
-            .and_then(|_| rs.stage_done(aid));
-        match rest {
-            Ok(_) => {}
-            Err(e) if e.is_crash() => {
-                self.mark_crashed(g);
-                return Ok(());
-            }
-            Err(e) => return Err(e.into()),
-        }
-        guardian.staged.push((StagedOp::LocalCommit(aid), now));
-        guardian.force_sched.note_staged(now);
-        self.note_staged_batch(g);
         self.tracer
             .complete("twopc", "local_commit", g.0, Some(tkey(aid)), now, &[]);
         // Poll the scheduler as a message delivery would, so an immediate
@@ -1359,6 +1341,35 @@ impl World {
         }
     }
 
+    /// Queues the operation `op` that `g`'s recovery system just staged
+    /// (`result`) on the guardian's group-commit batch; its continuation
+    /// runs from [`World::flush_staged`] after the shared force. Returns
+    /// `false` if staging hit a simulated crash (the guardian is now down
+    /// and the caller stops), and hands any other staging error back.
+    fn enqueue_staged(
+        &mut self,
+        g: GuardianId,
+        result: RsResult<()>,
+        op: StagedOp,
+        now: u64,
+    ) -> RsResult<bool> {
+        match result {
+            Ok(()) => {
+                if let Some(guardian) = self.guardians.get_mut(&g) {
+                    guardian.staged.push((op, now));
+                    guardian.force_sched.note_staged(now);
+                }
+                self.note_staged_batch(g);
+                Ok(true)
+            }
+            Err(e) if e.is_crash() => {
+                self.mark_crashed(g);
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// Records that `g` just staged a log entry: the guardian joins the
     /// ready set, and its batch's force deadline enters the min-deadline
     /// heap (staging time, if the batch is already due — e.g. it just
@@ -1652,14 +1663,12 @@ impl World {
         aid: ActionId,
         effects: Vec<CoordEffect>,
     ) -> WorldResult<()> {
-        let mut queue: std::collections::VecDeque<CoordEffect> = effects.into();
-        while let Some(effect) = queue.pop_front() {
+        for effect in effects {
             match effect {
                 CoordEffect::Send { to, msg } => {
                     self.net.send(Envelope { from: g, to, msg });
                 }
                 CoordEffect::ForceCommitting => {
-                    let _timer = self.obs.phase("twopc.committing_us");
                     let now = self.clock.now();
                     let guardian = self.guardian_mut(g)?;
                     let gids: Vec<GuardianId> = guardian
@@ -1667,59 +1676,18 @@ impl World {
                         .get(&aid)
                         .map(|c| c.participants.clone())
                         .unwrap_or_default();
-                    let mut staged_now = false;
-                    match guardian.rs.stage_committing(aid, &gids) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Committing(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            let more = guardian
-                                .coordinators
-                                .get_mut(&aid)
-                                .map(|c| c.committing_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                    let staged = guardian.rs.stage_committing(aid, &gids);
+                    if !self.enqueue_staged(g, staged, StagedOp::Committing(aid), now)? {
+                        return Ok(());
                     }
                     self.tracer
                         .complete("twopc", "committing", g.0, Some(tkey(aid)), now, &[]);
                 }
                 CoordEffect::ForceDone => {
                     let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
-                    let mut staged_now = false;
-                    match guardian.rs.stage_done(aid) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Done(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            let more = guardian
-                                .coordinators
-                                .get_mut(&aid)
-                                .map(|c| c.done_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                    let staged = self.guardian_mut(g)?.rs.stage_done(aid);
+                    if !self.enqueue_staged(g, staged, StagedOp::Done(aid), now)? {
+                        return Ok(());
                     }
                     self.tracer
                         .complete("twopc", "done", g.0, Some(tkey(aid)), now, &[]);
@@ -1743,120 +1711,50 @@ impl World {
         aid: ActionId,
         effects: Vec<PartEffect>,
     ) -> WorldResult<()> {
-        let mut queue: std::collections::VecDeque<PartEffect> = effects.into();
-        while let Some(effect) = queue.pop_front() {
+        for effect in effects {
             match effect {
                 PartEffect::Send { to, msg } => {
                     self.net.send(Envelope { from: g, to, msg });
                 }
                 PartEffect::PrepareLocally => {
-                    let _timer = self.obs.phase("twopc.prepare_us");
                     let now = self.clock.now();
                     let guardian = self.guardian_mut(g)?;
                     let mos = guardian.mos.remove(&aid).unwrap_or_default();
                     // Split borrow: the recovery system reads the heap.
-                    let Guardian {
-                        rs,
-                        heap,
-                        staged,
-                        force_sched,
-                        participants,
-                        ..
-                    } = guardian;
-                    let mut staged_now = false;
-                    match rs.stage_prepare(aid, &mos, heap) {
-                        Ok(true) => {
-                            staged.push((StagedOp::Prepare(aid), now));
-                            force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            let more = participants
-                                .get_mut(&aid)
-                                .map(|p| p.prepare_succeeded())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(_) => {
-                            let more = participants
-                                .get_mut(&aid)
-                                .map(|p| p.prepare_failed())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
-                    }
+                    let Guardian { rs, heap, .. } = guardian;
+                    let staged = rs.stage_prepare(aid, &mos, heap);
+                    let op = StagedOp::Prepare(aid);
+                    let refused = match self.enqueue_staged(g, staged, op, now) {
+                        Ok(true) => Vec::new(),
+                        Ok(false) => return Ok(()),
+                        // Staging failed without a crash: vote no now.
+                        // `PrepareLocally` is always the last effect, so
+                        // running these next keeps the protocol's order.
+                        Err(_) => self
+                            .guardian_mut(g)?
+                            .participants
+                            .get_mut(&aid)
+                            .map(|p| p.prepare_failed())
+                            .unwrap_or_default(),
+                    };
                     self.tracer
                         .complete("twopc", "prepare", g.0, Some(tkey(aid)), now, &[]);
+                    self.exec_part(g, aid, refused)?;
                 }
                 PartEffect::ForceCommit => {
-                    let _timer = self.obs.phase("twopc.commit_us");
                     let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
-                    let mut staged_now = false;
-                    match guardian.rs.stage_commit(aid) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Commit(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            guardian.heap.commit_action(aid);
-                            guardian.resolved.insert(aid, true);
-                            let more = guardian
-                                .participants
-                                .get_mut(&aid)
-                                .map(|p| p.commit_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                    let staged = self.guardian_mut(g)?.rs.stage_commit(aid);
+                    if !self.enqueue_staged(g, staged, StagedOp::Commit(aid), now)? {
+                        return Ok(());
                     }
                     self.tracer
                         .complete("twopc", "commit", g.0, Some(tkey(aid)), now, &[]);
                 }
                 PartEffect::ForceAbort => {
-                    let _timer = self.obs.phase("twopc.abort_us");
                     let now = self.clock.now();
-                    let guardian = self.guardian_mut(g)?;
-                    let mut staged_now = false;
-                    match guardian.rs.stage_abort(aid) {
-                        Ok(true) => {
-                            guardian.staged.push((StagedOp::Abort(aid), now));
-                            guardian.force_sched.note_staged(now);
-                            staged_now = true;
-                        }
-                        Ok(false) => {
-                            guardian.heap.abort_action(aid);
-                            guardian.resolved.insert(aid, false);
-                            let more = guardian
-                                .participants
-                                .get_mut(&aid)
-                                .map(|p| p.abort_forced())
-                                .unwrap_or_default();
-                            queue.extend(more);
-                        }
-                        Err(e) if e.is_crash() => {
-                            self.mark_crashed(g);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                    if staged_now {
-                        self.note_staged_batch(g);
+                    let staged = self.guardian_mut(g)?.rs.stage_abort(aid);
+                    if !self.enqueue_staged(g, staged, StagedOp::Abort(aid), now)? {
+                        return Ok(());
                     }
                     self.tracer
                         .complete("twopc", "abort", g.0, Some(tkey(aid)), now, &[]);

@@ -210,47 +210,11 @@ impl<S: PageStore> argus_core::writer_sink::Sink for ShadowSink<'_, S> {
 }
 
 impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
-    // Each eager operation is its staged twin plus the force: one shared
-    // log holds versions, intents, maps and coordinator records, so a force
-    // publishes every staged record at once and group commit batches them
-    // like the log organizations' records.
+    // One shared log holds versions, intents, maps and coordinator records,
+    // so a force publishes every staged record at once and group commit
+    // batches them like the log organizations' records.
 
-    fn prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
-        self.stage_prepare(aid, mos, heap)?;
-        self.force_staged()
-    }
-
-    fn write_entry(
-        &mut self,
-        _aid: ActionId,
-        mos: &[HeapId],
-        _heap: &Heap,
-    ) -> RsResult<Vec<HeapId>> {
-        // Early prepare is not part of the shadowing organization.
-        Ok(mos.to_vec())
-    }
-
-    fn commit(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_commit(aid)?;
-        self.force_staged()
-    }
-
-    fn abort(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_abort(aid)?;
-        self.force_staged()
-    }
-
-    fn committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
-        self.stage_committing(aid, gids)?;
-        self.force_staged()
-    }
-
-    fn done(&mut self, aid: ActionId) -> RsResult<()> {
-        self.stage_done(aid)?;
-        self.force_staged()
-    }
-
-    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<bool> {
+    fn stage_prepare(&mut self, aid: ActionId, mos: &[HeapId], heap: &Heap) -> RsResult<()> {
         let mut intent = IntentBody::new(aid);
         {
             let mut sink = ShadowSink {
@@ -272,10 +236,10 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
         }
         self.intents.insert(aid, intent);
         self.pat.insert(aid);
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_commit(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_commit(&mut self, aid: ActionId) -> RsResult<()> {
         let intent = self
             .intents
             .remove(&aid)
@@ -290,10 +254,10 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             committed: true,
         })?;
         self.pat.remove(&aid);
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_abort(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_abort(&mut self, aid: ActionId) -> RsResult<()> {
         let intent = self.intents.remove(&aid);
         self.pd_index.remove(&aid);
         let changed = match &intent {
@@ -308,22 +272,22 @@ impl<P: StoreProvider> RecoverySystem for ShadowRs<P> {
             committed: false,
         })?;
         self.pat.remove(&aid);
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<bool> {
+    fn stage_committing(&mut self, aid: ActionId, gids: &[GuardianId]) -> RsResult<()> {
         self.append(&ShadowRecord::Committing {
             aid,
             gids: gids.to_vec(),
         })?;
         self.coords.insert(aid, gids.to_vec());
-        Ok(true)
+        Ok(())
     }
 
-    fn stage_done(&mut self, aid: ActionId) -> RsResult<bool> {
+    fn stage_done(&mut self, aid: ActionId) -> RsResult<()> {
         self.append(&ShadowRecord::Done { aid })?;
         self.coords.remove(&aid);
-        Ok(true)
+        Ok(())
     }
 
     fn force_staged(&mut self) -> RsResult<()> {

@@ -1,7 +1,7 @@
 //! A durable file-backed page store.
 
 use crate::store::SeqTracker;
-use crate::{Page, PageNo, PageStore, StorageResult, PAGE_SIZE};
+use crate::{Page, PageNo, PageStore, StorageError, StorageResult, PAGE_SIZE};
 use argus_sim::{CostModel, DeviceStats, OpKind, SimClock};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -70,6 +70,10 @@ impl FileObs {
 ///   `invalidate_volatile` (run on every log open/reopen, i.e. simulated
 ///   power cut) drops them, so an unforced write is *gone* after a crash
 ///   exactly as on real hardware.
+/// * **Fail-stop on I/O errors.** After a failed `pwrite` or `fsync` the
+///   file's contents are unknown, so the store is poisoned: every later
+///   read, write and sync fails until the store is reopened from the file.
+///   A later sync can never report durable pages that were never written.
 ///
 /// Torn-write assumption: single-page (512-byte) writes are atomic, matching
 /// the sector-atomicity assumption the simulated [`crate::RawDisk`] enforces
@@ -91,6 +95,8 @@ pub struct DurableFileStore {
     model: CostModel,
     tracker: SeqTracker,
     obs: FileObs,
+    /// Set by the first failed `pwrite` or `fsync`.
+    poisoned: bool,
 }
 
 /// The historical name: the durable store replaced the old demo
@@ -143,7 +149,38 @@ impl DurableFileStore {
             model,
             tracker: SeqTracker::default(),
             obs,
+            poisoned: false,
         })
+    }
+
+    fn check_poisoned(&self) -> StorageResult<()> {
+        if self.poisoned {
+            return Err(StorageError::Io(std::io::Error::other(
+                "store poisoned by an earlier failed write or fsync; reopen it",
+            )));
+        }
+        Ok(())
+    }
+
+    /// Writes the staged pages and, if there were any, makes them durable.
+    fn flush_and_sync(&mut self) -> StorageResult<()> {
+        let wrote = !self.staged.is_empty();
+        self.flush_staged()?;
+        if wrote {
+            match self.mode {
+                DurabilityMode::Fsync => {
+                    self.file.sync_all()?;
+                    self.obs.fsyncs.inc();
+                }
+                DurabilityMode::Dsync => {
+                    if !cfg!(target_os = "linux") {
+                        self.file.sync_all()?;
+                        self.obs.fsyncs.inc();
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Drains the staged pages to the file, coalescing contiguous page runs
@@ -186,6 +223,7 @@ impl DurableFileStore {
 
 impl PageStore for DurableFileStore {
     fn read_page(&mut self, pno: PageNo) -> StorageResult<Page> {
+        self.check_poisoned()?;
         let kind = if self.tracker.classify(pno) {
             OpKind::SeqRead
         } else {
@@ -210,6 +248,7 @@ impl PageStore for DurableFileStore {
     }
 
     fn write_page(&mut self, pno: PageNo, page: &Page) -> StorageResult<()> {
+        self.check_poisoned()?;
         let kind = if self.tracker.classify(pno) {
             OpKind::SeqWrite
         } else {
@@ -226,24 +265,13 @@ impl PageStore for DurableFileStore {
     }
 
     fn sync(&mut self) -> StorageResult<()> {
+        self.check_poisoned()?;
         self.stats.charge(OpKind::Force, &self.model, &self.clock);
-        let wrote = !self.staged.is_empty();
-        self.flush_staged()?;
-        if wrote {
-            match self.mode {
-                DurabilityMode::Fsync => {
-                    self.file.sync_all()?;
-                    self.obs.fsyncs.inc();
-                }
-                DurabilityMode::Dsync => {
-                    if !cfg!(target_os = "linux") {
-                        self.file.sync_all()?;
-                        self.obs.fsyncs.inc();
-                    }
-                }
-            }
+        let result = self.flush_and_sync();
+        if result.is_err() {
+            self.poisoned = true;
         }
-        Ok(())
+        result
     }
 
     fn stats(&self) -> DeviceStats {
@@ -408,6 +436,35 @@ mod tests {
             let mut s = open(&path);
             assert_eq!(s.read_page(2).unwrap(), page);
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_write_poisons_the_store_until_reopened() {
+        // Fail-stop on real I/O errors: a failed pwrite must not leave the
+        // store looking clean. Swapping in a read-only handle to the same
+        // file makes the pwrite fail with EBADF.
+        let path = temp_path("poison");
+        let _ = std::fs::remove_file(&path);
+        let mut s = open(&path);
+        s.write_page(0, &Page::from_bytes(b"never written"))
+            .unwrap();
+        let writable = std::mem::replace(&mut s.file, File::open(&path).unwrap());
+        assert!(s.sync().is_err(), "the failed pwrite must fail the sync");
+        s.file = writable;
+        // The staged page never reached the file, so no later sync may
+        // report success over it — nor may the store serve reads or writes.
+        assert!(s.sync().is_err(), "a poisoned store must keep failing");
+        assert!(s.read_page(0).is_err());
+        assert!(s.write_page(1, &Page::from_bytes(b"x")).is_err());
+        drop(s);
+        // Reopening from the file clears the poison and shows what the file
+        // really holds: nothing.
+        let mut s = open(&path);
+        assert_eq!(s.page_count(), 0);
+        assert_eq!(s.read_page(0).unwrap(), Page::zeroed());
+        s.write_page(0, &Page::from_bytes(b"ok")).unwrap();
+        s.sync().unwrap();
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -2,7 +2,7 @@
 # Offline tier-1 gate: everything a clean checkout must pass with no network.
 #
 #   scripts/verify.sh          # build + default test suite
-#   scripts/verify.sh --full   # + property suites, benches, experiments smoke
+#   scripts/verify.sh --full   # + benches, E1, a one-second perfbench run, every tier
 #   scripts/verify.sh --sweep  # + bounded deterministic crash-schedule sweep
 #   scripts/verify.sh --trace  # + trace selftest (determinism, I12, flight)
 #   scripts/verify.sh --vopr   # + seeded fault-composition batch + selftest
@@ -33,10 +33,18 @@ run cargo test -q --offline --features proptest
 # without a hang under every concurrency-control policy with blocking mode
 # breaking at least one deadlock (cc.deadlocks > 0).
 run cargo run -q --release --offline -p argus-bench --bin experiments -- --smoke
+# The wall-clock benchmark is a separate Cargo workspace that uses these
+# crates by path, so a change to their API can break it with every test
+# above green.
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "${1:-}" == "--full" ]]; then
     run cargo build --offline --benches -p argus-bench
     run cargo run -q --release --offline -p argus-bench --bin experiments -- E1
+    # One short benchmark run: it must reach its checkpoint and pass its own
+    # correctness oracle (a wrong value exits non-zero).
+    run cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload serial_commit --seed 1 --seconds 1 --trace 0
 fi
 
 # Bounded crash-schedule sweep: a deterministic slice of the full matrix
